@@ -774,6 +774,16 @@ impl ExperimentSpecBuilder {
                     )))
                 }
             }
+            // The executor parks with no timer, so it refuses a filter whose
+            // verdict can change with no enqueue to signal it.
+            let filter = self.policy.build(&Arc::new(topo.build())).filter;
+            if !filter.is_event_stable() {
+                return Err(SpecError::new(format!(
+                    "{scenario}: the executor needs an event-stable filter, and `{}` is not \
+                     (decayed loads and DSL filters are refused)",
+                    filter.name()
+                )));
+            }
         }
         if self.events.is_some() && matches!(self.driver, Driver::Storm(_) | Driver::OpenLoop(_)) {
             return Err(SpecError::new(format!(
@@ -2095,6 +2105,24 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("compile"), "{err}");
         }
+
+        // The timer-free executor refuses a filter over decayed loads.
+        let openloop = |policy| {
+            ExperimentSpec::builder(ExperimentId::E26, "open loop")
+                .loads(vec![0; 4])
+                .topo(TopoSpec::Flat(4))
+                .policy(policy)
+                .driver(Driver::OpenLoop(OpenLoopDriverSpec::new(
+                    1_000,
+                    10,
+                    sched_exec::ServiceMix::Fixed { ns: 1_000 },
+                )))
+                .backends(vec!["exec".into()])
+                .build()
+        };
+        let err = openloop(PolicySpec::Pelt).unwrap_err();
+        assert!(err.to_string().contains("event-stable"), "{err}");
+        assert!(openloop(PolicySpec::TopoAware).is_ok());
     }
 
     #[test]

@@ -34,6 +34,10 @@ impl FilterPolicy for GreedyFilter {
     fn name(&self) -> &'static str {
         "greedy_filter"
     }
+
+    fn is_event_stable(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

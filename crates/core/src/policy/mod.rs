@@ -59,6 +59,18 @@ pub trait FilterPolicy: Send + Sync {
 
     /// Human-readable name used in reports and experiment tables.
     fn name(&self) -> &'static str;
+
+    /// `true` if the verdict for an idle thief can turn from "no" to "yes"
+    /// only when a task is enqueued on the victim — what a caller needs
+    /// that re-evaluates the filter on enqueues alone, with no timer (the
+    /// `sched-exec` park protocol).  That holds when the filter reads only
+    /// the two cores' *instantaneous* loads — not which cores they are, so
+    /// every idle thief gets the same verdict, and not a load that decays
+    /// with time — and a victim whose load only falls is never turned from
+    /// rejected to accepted.  Defaults to `false`: a filter opts in.
+    fn is_event_stable(&self) -> bool {
+        false
+    }
 }
 
 /// Step 2 of a balancing round: picks one core from the filtered list.

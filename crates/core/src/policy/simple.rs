@@ -57,6 +57,13 @@ impl FilterPolicy for DeltaFilter {
     fn name(&self) -> &'static str {
         "delta_filter"
     }
+
+    /// A decayed metric moves with time alone; an instantaneous one only
+    /// moves when tasks come and go, and a falling victim load only makes
+    /// the delta harder to reach.
+    fn is_event_stable(&self) -> bool {
+        self.metric != LoadMetric::Tracked
+    }
 }
 
 #[cfg(test)]
@@ -90,6 +97,13 @@ mod tests {
         let f = DeltaFilter::listing1();
         assert!(!f.can_steal(s.core(CoreId(0)), s.core(CoreId(1))));
         assert!(!f.can_steal(s.core(CoreId(1)), s.core(CoreId(0))));
+    }
+
+    #[test]
+    fn only_a_decayed_metric_makes_the_verdict_time_dependent() {
+        assert!(DeltaFilter::listing1().is_event_stable());
+        assert!(DeltaFilter::new(LoadMetric::Weighted, 2048).is_event_stable());
+        assert!(!DeltaFilter::new(LoadMetric::Tracked, 2).is_event_stable());
     }
 
     #[test]

@@ -50,6 +50,12 @@ impl FilterPolicy for WeightedDeltaFilter {
     fn name(&self) -> &'static str {
         "weighted_delta_filter"
     }
+
+    /// Instantaneous weights; a victim losing a task loses weight, and its
+    /// lightest-ready watermark only rises or clears.
+    fn is_event_stable(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

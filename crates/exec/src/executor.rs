@@ -19,31 +19,67 @@
 //!   (current/ring/                  │                       │
 //!    injector)                   nothing                    │
 //!          ▲                        ▼                       │
-//!          │              register on idle stack            │
+//!          │            register on idle stack, fence       │
 //!          │                        │                       │
-//!          │               re-check own queue ──work──▶─────┘
-//!          │                        │
-//!          │                      empty
-//!          │                        ▼
-//!          └──token/timeout──  park (blocked)
+//!          │             re-check every reachable           │
+//!          │             core ──────────────work──▶─────────┤
+//!          │                        │                       │
+//!          │                      empty                     │
+//!          │                        ▼                       │
+//!          │               park (untimed)                   │
+//!          │                        │ token                 │
+//!          │                        ▼                       │
+//!          └────────────────── deregister ◀─────────────────┘
 //! ```
 //!
 //! # Parking protocol
 //!
 //! Idle workers park on a per-worker token [`Parker`] and register on a
-//! shared [`IdleStack`] (last parked, first woken).  Producers wake the
-//! *specific* worker whose runqueue just received a task if it is parked;
-//! otherwise, if no worker is currently searching for work (the global
-//! `searching` counter), they pop one parked worker to go steal.  Bounding
-//! undirected wakeups by `searching == 0` is what prevents wakeup storms:
-//! one submission wakes at most one thief, and a thief that finds work
-//! will wake the next one through its own submissions' completions.  The
-//! register → re-check → block ordering closes the classic lost-wakeup
-//! race (see [`crate::parker`]); a short timed backstop on the park makes
-//! even a missed edge self-heal.
+//! shared [`IdleStack`] (last parked, first woken).  The two halves form a
+//! Dekker pair, each side writing, fencing (`SeqCst`), then reading:
+//!
+//! * the **worker** registers, fences, and re-checks every source it could
+//!   reach — its own core, ring and injector, and every other core that
+//!   passes the policy's filter (the candidate list
+//!   `Shared::balance_once` builds, from the same lock-less snapshots)
+//!   and holds a claimable task — and blocks only if all were empty;
+//! * the **producer** enqueues, fences, and wakes the *specific* worker
+//!   whose runqueue just received the task if it is registered; otherwise,
+//!   if no worker is currently searching (the global `searching` counter),
+//!   it pops one registered worker to go steal.  A thief whose batch steal
+//!   loops undelivered claims back into the victim's injector has
+//!   enqueued too, and notifies the same way.
+//!
+//! Whichever fence is second sees the other side's write, so a task is
+//! either found by the re-check or its producer finds the worker
+//! registered: no wakeup is lost, and workers block with **no timer**.
+//! Skipping the undirected wakeup while `searching > 0` is what bounds
+//! wakeup storms, and the all-core re-check is what makes that skip safe:
+//! a searcher the producer counted on either steals, or fails, registers
+//! and re-checks after the producer's fence — and sees the task.  A
+//! worker that ends its search by committing to work (the last searcher
+//! out after a steal, or a re-check that found work) wakes one more
+//! worker when work is still waiting elsewhere, so a skipped wakeup is
+//! passed on rather than dropped.  The worker deregisters itself after
+//! every wake, so a producer's pop and the worker's own view of its
+//! registration cannot disagree; a token that lands after the worker
+//! already found work costs one extra pass of the loop.  Every
+//! interleaving of this protocol is explored for small scopes by
+//! `sched_verify::park`.
+//!
+//! The argument needs the filter's verdict to be the same for every idle
+//! thief and to turn from "no" to "yes" only when a task is enqueued: the
+//! searcher a producer counts on must see what a parked worker would, and
+//! nothing re-evaluates the filter between enqueues.  That is
+//! [`sched_core::FilterPolicy::is_event_stable`], and [`Executor::start`]
+//! refuses a policy whose filter is not — a filter over decayed loads
+//! turns with time alone, and a node-restricted one lets the searching
+//! skip trust a thief that cannot reach the task (the park model's
+//! counterexample).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,13 +92,6 @@ use sched_trace::{TraceEvent, TraceSink};
 
 use crate::parker::{IdleStack, Parker};
 
-/// Fallback park duration: a parked worker re-checks the world this often
-/// even if no token arrives.  Purely a backstop — the token protocol is
-/// what wakes workers — but it turns any missed edge (or a descheduled
-/// producer on an oversubscribed machine) into bounded latency instead of
-/// a hang.
-const PARK_BACKSTOP: Duration = Duration::from_millis(2);
-
 /// Number of job-table shards; a power of two so the modulo is a mask.
 const JOB_SHARDS: usize = 16;
 
@@ -73,7 +102,10 @@ pub struct ExecConfig {
     pub topo: Arc<MachineTopology>,
     /// The balancing policy: its filter/choice drive stealing, its
     /// [`sched_core::ChoicePolicy::place_wakeup`] drives submission placement, and its
-    /// tracker maintains the loads both read.
+    /// tracker maintains the loads both read.  Its filter must be
+    /// event-stable ([`sched_core::FilterPolicy::is_event_stable`]): workers
+    /// park with no timer and re-evaluate the filter only when a task is
+    /// enqueued, so [`Executor::start`] refuses any other.
     pub policy: Policy,
     /// Claim size of one steal decision.
     pub batch: StealBatch,
@@ -118,8 +150,10 @@ impl ExecConfig {
 
 /// What one submitted task actually does when a worker runs it.
 enum Job {
-    /// Run a closure (the `spawn` API).
-    Closure(Box<dyn FnOnce() + Send + 'static>),
+    /// Run a closure (the `spawn` API); it returns `true` if the user
+    /// function panicked (the panic itself is caught and handed to the
+    /// joiner).
+    Closure(Box<dyn FnOnce() -> bool + Send + 'static>),
     /// Spin for a sampled service time and record the end-to-end latency
     /// since submission (the open-loop benchmark API).
     Request {
@@ -155,30 +189,73 @@ impl JobTable {
 
 /// One spawned job's result slot (see [`Executor::spawn`]).
 struct JoinCell<T> {
-    slot: Mutex<Option<T>>,
+    slot: Mutex<Slot<T>>,
     done: Condvar,
 }
 
-/// Waits for one spawned closure's result.
+struct Slot<T> {
+    /// The closure's return value, or the payload of its panic.
+    result: Option<std::thread::Result<T>>,
+    /// A joiner is blocked on `done`: completion signals the condvar only
+    /// then, so a result nobody is waiting for costs no futex call.
+    waiting: bool,
+}
+
+impl<T> JoinCell<T> {
+    fn new() -> Self {
+        JoinCell { slot: Mutex::new(Slot { result: None, waiting: false }), done: Condvar::new() }
+    }
+
+    fn complete(&self, result: std::thread::Result<T>) {
+        let mut slot = self.slot.lock().expect("join cell poisoned");
+        slot.result = Some(result);
+        let waiting = slot.waiting;
+        drop(slot);
+        if waiting {
+            self.done.notify_one();
+        }
+    }
+}
+
+/// Waits for one spawned closure's result.  Its `Debug` form names the
+/// task word the closure rides on — its id in the decision trace.
 pub struct JoinHandle<T> {
     cell: Arc<JoinCell<T>>,
+    task: TaskId,
 }
 
 impl<T> JoinHandle<T> {
-    /// Blocks until the job has run and returns its result.
+    /// Blocks until the job has run and returns its result.  If the
+    /// closure panicked, the panic resumes here, in the joiner.
     pub fn join(self) -> T {
         let mut slot = self.cell.slot.lock().expect("join cell poisoned");
         loop {
-            match slot.take() {
-                Some(out) => return out,
-                None => slot = self.cell.done.wait(slot).expect("join cell poisoned"),
+            match slot.result.take() {
+                Some(Ok(out)) => return out,
+                Some(Err(payload)) => {
+                    drop(slot);
+                    panic::resume_unwind(payload)
+                }
+                None => {
+                    slot.waiting = true;
+                    slot = self.cell.done.wait(slot).expect("join cell poisoned");
+                }
             }
         }
     }
 
-    /// `true` once the job has completed (non-blocking).
+    /// `true` once the job has completed or panicked (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.cell.slot.lock().expect("join cell poisoned").is_some()
+        self.cell.slot.lock().expect("join cell poisoned").result.is_some()
+    }
+}
+
+impl<T> std::fmt::Debug for JoinHandle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JoinHandle")
+            .field("task", &self.task)
+            .field("finished", &self.is_finished())
+            .finish()
     }
 }
 
@@ -210,9 +287,71 @@ struct Shared {
     /// Per-worker latency histograms merge here as workers exit.
     latency: Mutex<Histogram>,
     completed: AtomicU64,
+    /// Jobs whose closure panicked (contained; see [`Executor::spawn`]).
+    panicked: AtomicU64,
+}
+
+/// Where a worker stands in its park protocol, reported to the probe the
+/// protocol is driven with (a no-op in production; tests use it to pin one
+/// interleaving).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ParkPoint {
+    /// Registered on the idle stack and fenced; the re-check is next.
+    Registered,
+    /// The re-check is done; `found` says whether it saw work (or exit).
+    Rechecked { found: bool },
 }
 
 impl Shared {
+    /// Builds the runqueues and the shared state; spawns nothing.
+    fn new(config: ExecConfig) -> Self {
+        let ExecConfig { topo, policy, batch, ring_capacity, trace } = config;
+        assert!(
+            policy.filter.is_event_stable(),
+            "the executor needs an event-stable filter, and `{}` is not: its verdict can change \
+             with no enqueue to wake a parked worker",
+            policy.filter.name()
+        );
+        let clock = Arc::new(AtomicU64::new(0));
+        let cores: Vec<DequeRq> = topo
+            .cpus()
+            .iter()
+            .map(|c| {
+                let mut rq = DequeRq::with_queue_capacity(
+                    c.id,
+                    c.node,
+                    Arc::clone(&policy.tracker),
+                    Arc::clone(&clock),
+                    ring_capacity,
+                );
+                rq.attach_trace(trace.clone());
+                rq
+            })
+            .collect();
+        let nr_workers = cores.len();
+        Shared {
+            cores,
+            policy,
+            batch,
+            topo,
+            clock,
+            start: Instant::now(),
+            stats: BalanceStats::new(),
+            trace,
+            jobs: JobTable::new(),
+            parkers: (0..nr_workers).map(|_| Parker::new()).collect(),
+            idle: IdleStack::new(),
+            searching: AtomicUsize::new(0),
+            pending: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            next_task: AtomicU64::new(0),
+            rr: AtomicUsize::new(0),
+            latency: Mutex::new(Histogram::new()),
+            completed: AtomicU64::new(0),
+            panicked: AtomicU64::new(0),
+        }
+    }
+
     fn now_wall_ns(&self) -> u64 {
         self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
     }
@@ -231,20 +370,88 @@ impl Shared {
     }
 
     fn should_exit(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) == 0
+        self.shutdown.load(Ordering::SeqCst) && self.pending.load(Ordering::SeqCst) == 0
     }
 
-    /// Wakes whoever should handle a task just seated on `target`'s queue:
-    /// the target's own worker if it is parked, else — when nobody is
-    /// already out stealing — the most recently parked worker to go steal.
+    /// Fills `scratch` with lock-less snapshots of every core, in id order
+    /// (reusing its allocation).
+    fn snapshot_into(&self, scratch: &mut Vec<CoreSnapshot>) {
+        scratch.clear();
+        scratch.extend(self.cores.iter().map(DequeRq::snapshot));
+    }
+
+    /// The producer half of the park protocol: wakes whoever should handle
+    /// a task just enqueued on `target` — the target's own worker if it is
+    /// registered, else, when nobody is already out stealing, the most
+    /// recently parked worker to go steal.
     fn notify(&self, target: usize) {
-        if self.idle.pop_specific(target) {
-            self.parkers[target].unpark();
+        // Pairs with the worker's fence between registering and
+        // re-checking: one of the two sides sees the other's write.
+        fence(Ordering::SeqCst);
+        if self.idle.is_empty() {
             return;
         }
-        if self.searching.load(Ordering::Acquire) == 0 {
-            if let Some(worker) = self.idle.pop_any() {
-                self.parkers[worker].unpark();
+        if self.idle.pop_specific(target) {
+            self.parkers[target].unpark();
+        } else if self.searching.load(Ordering::SeqCst) == 0 {
+            self.wake_one();
+        }
+    }
+
+    /// Pops the most recently parked worker, if any, and unparks it.
+    fn wake_one(&self) {
+        if let Some(worker) = self.idle.pop_any() {
+            self.parkers[worker].unpark();
+        }
+    }
+
+    /// `true` if worker `me` has anything it could run or steal: a task
+    /// seated on its core or claimable from its ring or injector, or a
+    /// steal [`Self::stealable`] admits.  The worker's pre-park re-check.
+    fn work_reachable(&self, me: usize, scratch: &mut Vec<CoreSnapshot>) -> bool {
+        if self.cores[me].current_task().is_some() || self.claimable(CoreId(me)) {
+            return true;
+        }
+        self.snapshot_into(scratch);
+        self.stealable(&scratch[me], scratch)
+    }
+
+    /// `true` if `thief` could steal from one of the other cores in
+    /// `snapshots`: the policy's filter admits it — the candidate list
+    /// [`Self::balance_once`] builds — and it holds a claimable task.
+    fn stealable(&self, thief: &CoreSnapshot, snapshots: &[CoreSnapshot]) -> bool {
+        snapshots.iter().any(|s| {
+            s.id != thief.id && self.policy.filter.can_steal(thief, s) && self.claimable(s.id)
+        })
+    }
+
+    /// `true` if `core` holds a task a thief could claim right now.  The
+    /// snapshot counters count a task from the moment its enqueue starts,
+    /// so a producer preempted mid-enqueue would otherwise make the
+    /// re-check find work no steal can take — and the worker spin until
+    /// the producer runs again.  The producer pushes before its fence, so
+    /// the Dekker pairing holds for the claimable view too.
+    fn claimable(&self, core: CoreId) -> bool {
+        self.cores[core.0].claimable_len() > 0
+    }
+
+    /// Called by a worker that ends its search by committing to work — the
+    /// last searcher out after a successful steal, or a worker whose
+    /// pre-park re-check found work: if a worker is parked and an idle
+    /// thief could steal something, wake one.  A producer that skipped its
+    /// wakeup because this worker was searching (or registered) relied on
+    /// it; the worker takes one task, so it passes the wakeup on.  Every
+    /// idle thief gets the same verdict (the filter is event-stable), so
+    /// any idle core's view stands for the parked workers'.
+    fn pass_on_wakeup(&self, scratch: &mut Vec<CoreSnapshot>) {
+        fence(Ordering::SeqCst);
+        if self.idle.is_empty() {
+            return;
+        }
+        self.snapshot_into(scratch);
+        if let Some(idle) = scratch.iter().find(|s| s.is_idle()) {
+            if self.stealable(idle, scratch) {
+                self.wake_one();
             }
         }
     }
@@ -253,15 +460,13 @@ impl Shared {
     /// selection/steal split as `MultiQueue::balance_once_batched`, with
     /// the outcome counted and traced through the shared [`StealRecorder`]
     /// program point (which is what keeps `stats == fold(trace)` exact for
-    /// this substrate too).
-    fn balance_once(&self, thief: CoreId) -> StealOutcome {
-        let snapshots: Vec<CoreSnapshot> = self.cores.iter().map(DequeRq::snapshot).collect();
-        let thief_snap = snapshots[thief.0];
-        let candidates: Vec<CoreSnapshot> = snapshots
-            .into_iter()
-            .filter(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s))
-            .collect();
-        let Some(victim) = self.policy.choice.choose(&thief_snap, &candidates) else {
+    /// this substrate too).  `scratch` is the worker's reusable snapshot
+    /// buffer, so a round allocates nothing.
+    fn balance_once(&self, thief: CoreId, scratch: &mut Vec<CoreSnapshot>) -> StealOutcome {
+        self.snapshot_into(scratch);
+        let thief_snap = scratch[thief.0];
+        scratch.retain(|s| s.id != thief && self.policy.filter.can_steal(&thief_snap, s));
+        let Some(victim) = self.policy.choice.choose(&thief_snap, scratch) else {
             self.stats.record(&StealOutcome::NoCandidates);
             if self.trace.is_enabled() {
                 self.trace.record(
@@ -272,7 +477,7 @@ impl Shared {
             }
             return StealOutcome::NoCandidates;
         };
-        let victim_snap = candidates.iter().find(|s| s.id == victim).expect("choice membership");
+        let victim_snap = scratch.iter().find(|s| s.id == victim).expect("choice membership");
         let max_tasks = self.batch.size(&self.policy, &thief_snap, victim_snap);
         let level = self.topo.steal_level(thief, victim);
         let outcome = DequeRq::try_steal_recorded(
@@ -293,7 +498,11 @@ impl Shared {
     /// Runs one claimed task to completion on worker `me`.
     fn execute(&self, task: TaskId, me: usize, latency: &mut Histogram) {
         match self.jobs.take(task.0) {
-            Some(Job::Closure(f)) => f(),
+            Some(Job::Closure(f)) => {
+                if f() {
+                    self.panicked.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             Some(Job::Request { service_ns, submitted_ns }) => {
                 spin_for(service_ns);
                 let e2e_ns = self.now_wall_ns().saturating_sub(submitted_ns);
@@ -310,7 +519,7 @@ impl Shared {
         let removed = self.cores[me].complete_current();
         debug_assert_eq!(removed.as_ref().map(|t| t.id), Some(task));
         self.completed.fetch_add(1, Ordering::Relaxed);
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 && self.shutdown.load(Ordering::Acquire)
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 && self.shutdown.load(Ordering::SeqCst)
         {
             // Last job out during shutdown: wake everyone so they observe
             // `should_exit` and leave.
@@ -324,6 +533,9 @@ impl Shared {
     fn worker_loop(&self, me: usize) {
         let rq = &self.cores[me];
         let mut latency = Histogram::new();
+        // Snapshot buffer shared by stealing rounds and pre-park
+        // re-checks; allocated on first use, on the worker's own thread.
+        let mut scratch = Vec::new();
         loop {
             self.advance_clock();
             rq.refresh();
@@ -334,41 +546,61 @@ impl Shared {
                 self.execute(task, me, &mut latency);
                 self.advance_clock();
             }
-            // Own sources empty: go stealing.  The `searching` counter is
-            // up only around the attempt — producers seeing it nonzero
-            // trust this thief to find their work.
-            self.searching.fetch_add(1, Ordering::AcqRel);
-            let outcome = self.balance_once(CoreId(me));
-            self.searching.fetch_sub(1, Ordering::AcqRel);
-            if outcome.is_success() {
+            // Own sources empty: go stealing.
+            if self.steal_round(CoreId(me), &mut scratch) {
                 continue;
             }
             if self.should_exit() {
                 break;
             }
-            // Register → re-check → block.  A producer enqueueing after
-            // the re-check sees the registration and deposits the token.
-            self.idle.push(me);
-            if !rq.snapshot().is_idle() || rq.injected_len() > 0 || self.should_exit() {
-                if !self.idle.remove(me) {
-                    // A producer popped us concurrently and deposited a
-                    // token; consume it so it cannot ghost-wake a later
-                    // park.
-                    self.parkers[me].park_timeout(Duration::ZERO);
-                }
-                continue;
-            }
+            self.park(me, &mut scratch, |_| {});
+        }
+        self.latency.lock().expect("latency histogram poisoned").merge(&latency);
+    }
+
+    /// One stealing attempt by `thief`.  The `searching` counter is up
+    /// only around the attempt — producers seeing it nonzero trust this
+    /// thief to find their work.  Returns `true` if it stole.
+    fn steal_round(&self, thief: CoreId, scratch: &mut Vec<CoreSnapshot>) -> bool {
+        self.searching.fetch_add(1, Ordering::SeqCst);
+        let outcome = self.balance_once(thief, scratch);
+        let last_searcher = self.searching.fetch_sub(1, Ordering::SeqCst) == 1;
+        let StealOutcome::Stole { victim, .. } = outcome else {
+            return false;
+        };
+        // A batch steal loops the claims it does not deliver back into the
+        // victim's injector: an enqueue, whose producer half is this
+        // thief's.
+        if self.cores[victim.0].injected_len() > 0 {
+            self.notify(victim.0);
+        }
+        if last_searcher {
+            self.pass_on_wakeup(scratch);
+        }
+        true
+    }
+
+    /// The worker half of the park protocol: register → fence → re-check
+    /// every reachable source → block untimed if all were empty →
+    /// deregister.  `probe` observes the protocol's steps.
+    fn park(&self, me: usize, scratch: &mut Vec<CoreSnapshot>, mut probe: impl FnMut(ParkPoint)) {
+        self.idle.push(me);
+        // Pairs with the producer's fence in `notify`.
+        fence(Ordering::SeqCst);
+        probe(ParkPoint::Registered);
+        let found = self.work_reachable(me, scratch) || self.should_exit();
+        probe(ParkPoint::Rechecked { found });
+        if !found {
             self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Park);
-            let woken = self.parkers[me].park_timeout(PARK_BACKSTOP);
-            if !woken && !self.idle.remove(me) {
-                // Timed out, but a producer popped us in the window before
-                // the deregistration — its token is deposited; eat it.
-                self.parkers[me].park_timeout(Duration::ZERO);
-            }
+            self.parkers[me].park();
             self.advance_clock();
             self.trace.record(CoreId(me), self.now_ns(), &TraceEvent::Unpark);
         }
-        self.latency.lock().expect("latency histogram poisoned").merge(&latency);
+        // Deregister whoever woke us; a no-op when a producer popped us.
+        self.idle.remove(me);
+        if found {
+            self.pass_on_wakeup(scratch);
+        }
     }
 }
 
@@ -388,8 +620,12 @@ fn spin_for(ns: u64) {
 pub struct ExecReport {
     /// End-to-end request latency (submission → completion), microseconds.
     pub latency_us: Histogram,
-    /// Jobs completed over the executor's lifetime.
+    /// Jobs completed over the executor's lifetime (panicked ones
+    /// included).
     pub completed: u64,
+    /// Spawned closures that panicked; each panic was contained and
+    /// resumed in its joiner.
+    pub panicked: u64,
     /// The balancing counters of the run (steals, failures, migrations,
     /// per-level attribution) — fold the drained trace to reproduce them.
     pub stats: BalanceStats,
@@ -404,46 +640,14 @@ pub struct Executor {
 impl Executor {
     /// Builds the runqueues and spawns one worker thread per CPU of the
     /// configured topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's filter is not event-stable (see
+    /// [`ExecConfig::policy`]).
     pub fn start(config: ExecConfig) -> Self {
-        let ExecConfig { topo, policy, batch, ring_capacity, trace } = config;
-        let clock = Arc::new(AtomicU64::new(0));
-        let cores: Vec<DequeRq> = topo
-            .cpus()
-            .iter()
-            .map(|c| {
-                let mut rq = DequeRq::with_queue_capacity(
-                    c.id,
-                    c.node,
-                    Arc::clone(&policy.tracker),
-                    Arc::clone(&clock),
-                    ring_capacity,
-                );
-                rq.attach_trace(trace.clone());
-                rq
-            })
-            .collect();
-        let nr_workers = cores.len();
-        let shared = Arc::new(Shared {
-            cores,
-            policy,
-            batch,
-            topo,
-            clock,
-            start: Instant::now(),
-            stats: BalanceStats::new(),
-            trace,
-            jobs: JobTable::new(),
-            parkers: (0..nr_workers).map(|_| Parker::new()).collect(),
-            idle: IdleStack::new(),
-            searching: AtomicUsize::new(0),
-            pending: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            next_task: AtomicU64::new(0),
-            rr: AtomicUsize::new(0),
-            latency: Mutex::new(Histogram::new()),
-            completed: AtomicU64::new(0),
-        });
-        let workers = (0..nr_workers)
+        let shared = Arc::new(Shared::new(config));
+        let workers = (0..shared.cores.len())
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -465,19 +669,23 @@ impl Executor {
     /// The closure becomes a task word on a real runqueue: it is placed by
     /// the policy's [`sched_core::ChoicePolicy::place_wakeup`], may be stolen between
     /// cores before it runs, and executes on whichever worker claims it.
+    /// A panic in the closure is contained: the worker survives, the job
+    /// counts as completed (and in [`ExecReport::panicked`]), and
+    /// [`JoinHandle::join`] resumes the panic in the joiner.
     pub fn spawn<F, T>(&self, f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let cell = Arc::new(JoinCell { slot: Mutex::new(None), done: Condvar::new() });
+        let cell = Arc::new(JoinCell::new());
         let out = Arc::clone(&cell);
-        self.submit_job(Job::Closure(Box::new(move || {
-            let result = f();
-            *out.slot.lock().expect("join cell poisoned") = Some(result);
-            out.done.notify_all();
+        let task = self.submit_job(Job::Closure(Box::new(move || {
+            let result = panic::catch_unwind(AssertUnwindSafe(f));
+            let panicked = result.is_err();
+            out.complete(result);
+            panicked
         })));
-        JoinHandle { cell }
+        JoinHandle { cell, task }
     }
 
     /// Submits one open-loop benchmark request costing `service_ns` of
@@ -538,14 +746,11 @@ impl Executor {
     /// Stops accepting progress, waits for the queues to empty, joins all
     /// workers, and returns what the run measured.
     pub fn shutdown(self) -> ExecReport {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // A worker that registers after this drain takes the stack lock
+        // after it, so its re-check sees the flag.
         for worker in self.shared.idle.drain() {
             self.shared.parkers[worker].unpark();
-        }
-        // Belt and braces: a worker may have been between the drain and
-        // its own park registration.
-        for parker in &self.shared.parkers {
-            parker.unpark();
         }
         for handle in self.workers {
             handle.join().expect("worker thread panicked");
@@ -556,6 +761,7 @@ impl Executor {
         ExecReport {
             latency_us: shared.latency.lock().expect("latency histogram poisoned").clone(),
             completed: shared.completed.load(Ordering::Relaxed),
+            panicked: shared.panicked.load(Ordering::Relaxed),
             stats,
         }
     }
@@ -567,6 +773,7 @@ impl std::fmt::Debug for Executor {
             .field("workers", &self.workers.len())
             .field("pending", &self.shared.pending.load(Ordering::Relaxed))
             .field("completed", &self.shared.completed.load(Ordering::Relaxed))
+            .field("panicked", &self.shared.panicked.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -575,7 +782,7 @@ impl std::fmt::Debug for Executor {
 mod tests {
     use super::*;
     use crate::openloop::{drive, OpenLoopSpec, ServiceMix};
-    use sched_core::policy::TopologyAwareChoice;
+    use sched_core::policy::{DeltaFilter, NodeRestrictedFilter, TopologyAwareChoice};
     use sched_core::LoadMetric;
     use sched_topology::TopologyBuilder;
     use sched_trace::FoldedStats;
@@ -675,13 +882,142 @@ mod tests {
         assert_eq!(report.completed, 0);
     }
 
+    #[test]
+    fn a_panicking_job_is_contained_and_resumes_in_its_joiner() {
+        let exec = start(TraceSink::disabled());
+        let handle = exec.spawn(|| -> u32 { panic!("job failed on purpose") });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| handle.join())));
+        });
+        let joined =
+            rx.recv_timeout(Duration::from_secs(10)).expect("join returns in bounded time");
+        let payload = joined.expect_err("join resumes the job's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job failed on purpose"));
+        // The worker that ran it survived, and the executor still runs jobs.
+        assert_eq!(exec.spawn(|| 7).join(), 7);
+        exec.drain();
+        let report = exec.shutdown();
+        assert_eq!((report.completed, report.panicked), (2, 1));
+    }
+
+    /// The stale-token race, pinned step by step through the park probe:
+    /// a producer pops the registered worker, the worker's re-check finds
+    /// work anyway, and the producer's unpark lands only after that.  The
+    /// late token must cost one spurious pass, never a second
+    /// registration.
+    #[test]
+    fn a_late_token_never_registers_a_worker_twice() {
+        let topo = small_topo();
+        let shared = Shared::new(ExecConfig::new(Arc::clone(&topo), exec_policy(&topo)));
+        let mut scratch = Vec::new();
+        let registered_once = |shared: &Shared| {
+            assert_eq!(shared.idle.registrations(0), 1, "worker 0 registered more than once");
+        };
+        shared.park(0, &mut scratch, |point| match point {
+            ParkPoint::Registered => {
+                registered_once(&shared);
+                // 1. A producer seats a task on core 0 and pops worker 0.
+                shared.cores[0].enqueue(RqTask::new(TaskId(1)));
+                assert!(shared.idle.pop_specific(0));
+            }
+            // 2. The worker's re-check finds that task.
+            ParkPoint::Rechecked { found } => assert!(found),
+        });
+        // 3. The producer's unpark lands after the worker moved on.
+        shared.parkers[0].unpark();
+        assert_eq!(shared.cores[0].complete_current().map(|t| t.id), Some(TaskId(1)));
+        // Nothing left: the next park blocks on the late token, which
+        // returns at once — and the worker deregisters regardless.
+        shared.park(0, &mut scratch, |point| match point {
+            ParkPoint::Registered => registered_once(&shared),
+            ParkPoint::Rechecked { found } => assert!(!found),
+        });
+        assert_eq!(shared.idle.registrations(0), 0, "a token wake deregisters");
+        // So the park after that registers exactly once again.
+        shared.park(0, &mut scratch, |point| {
+            if point == ParkPoint::Registered {
+                registered_once(&shared);
+                shared.cores[0].enqueue(RqTask::new(TaskId(2)));
+            }
+        });
+        assert_eq!(shared.idle.registrations(0), 0);
+    }
+
+    /// A batch steal that trims loops its undelivered claims back into the
+    /// victim's injector — an enqueue, so the thief must notify like any
+    /// producer: if the victim's owner is registered, it is popped and
+    /// unparked, since its re-check may have run while the claim was in
+    /// flight and its core looked empty.
+    #[test]
+    fn a_trimmed_batch_steal_notifies_the_victims_owner() {
+        let topo = small_topo();
+        let config =
+            ExecConfig::new(Arc::clone(&topo), exec_policy(&topo)).with_batch(StealBatch::Fixed(2));
+        let shared = Shared::new(config);
+        // Core 1 runs task 1 with two waiting (the single-threaded test
+        // keeps it seated; its worker is registered all the same).
+        for id in 1..=3 {
+            shared.cores[1].enqueue(RqTask::new(TaskId(id)));
+        }
+        shared.idle.push(1);
+        shared.idle.push(2);
+        // Another worker is out searching, so this thief's pass-on is not
+        // due: only the notify of its loop-back may pop anyone.
+        shared.searching.fetch_add(1, Ordering::SeqCst);
+        let mut scratch = Vec::new();
+        assert!(shared.steal_round(CoreId(0), &mut scratch));
+        assert_eq!(shared.cores[1].injected_len(), 1, "the second claim was trimmed");
+        assert_eq!(shared.idle.registrations(1), 0, "the victim's owner was popped");
+        assert!(shared.parkers[1].park_timeout(Duration::ZERO), "…and unparked");
+        assert_eq!(shared.idle.registrations(2), 1, "the searcher covers everyone else");
+    }
+
+    /// The executor refuses filters whose verdict can change with no
+    /// enqueue to signal it: a decayed load moves with time alone, and a
+    /// node-restricted filter answers differently per thief.
+    #[test]
+    #[should_panic(expected = "event-stable filter")]
+    fn a_filter_over_decayed_loads_is_refused() {
+        let _ = Executor::start(ExecConfig::new(small_topo(), Policy::pelt(1_000_000)));
+    }
+
+    #[test]
+    #[should_panic(expected = "event-stable filter")]
+    fn a_node_restricted_filter_is_refused() {
+        let mut policy = Policy::simple();
+        policy.filter = Box::new(NodeRestrictedFilter::new(DeltaFilter::listing1()));
+        let _ = Executor::start(ExecConfig::new(small_topo(), policy));
+    }
+
     // ---- stress legs (CI `exec-stress` job; `--ignored`) ----
+
+    /// With no park timer a lost wakeup is a hang, so the stress legs poll
+    /// against this deadline and fail naming what is stuck instead.
+    const STRESS_DEADLINE: Duration = Duration::from_secs(10);
+
+    /// Joins every handle once all have finished; panics with the stuck
+    /// task ids if any is still pending at the deadline.
+    fn join_within<T>(exec: &Executor, handles: Vec<JoinHandle<T>>, what: &str) -> Vec<T> {
+        let deadline = Instant::now() + STRESS_DEADLINE;
+        while !handles.iter().all(JoinHandle::is_finished) {
+            if Instant::now() > deadline {
+                let stuck: Vec<&JoinHandle<T>> =
+                    handles.iter().filter(|h| !h.is_finished()).collect();
+                panic!(
+                    "{what}: tasks {stuck:?} still pending after {STRESS_DEADLINE:?}; queues: {:?}",
+                    exec.snapshots()
+                );
+            }
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        handles.into_iter().map(JoinHandle::join).collect()
+    }
 
     /// Park/unpark race hammer: repeated idle → burst → drain cycles drive
     /// every worker through the register/re-check/park edge while
-    /// submissions race the registrations.  A lost wakeup shows up as a
-    /// drain that takes the park backstop instead of the token path —
-    /// or, if the protocol is truly broken, as a hang.
+    /// submissions race the registrations.  A lost wakeup strands a job
+    /// past the deadline and fails the round with its task id.
     #[test]
     #[ignore]
     fn park_unpark_races_never_strand_work() {
@@ -690,7 +1026,8 @@ mod tests {
             // Let everyone park.
             std::thread::sleep(Duration::from_millis(1));
             let handles: Vec<JoinHandle<usize>> = (0..16).map(|i| exec.spawn(move || i)).collect();
-            let sum: usize = handles.into_iter().map(JoinHandle::join).sum();
+            let sum: usize =
+                join_within(&exec, handles, &format!("round {round}")).into_iter().sum();
             assert_eq!(sum, (0..16).sum::<usize>(), "round {round} lost a job");
         }
         exec.drain();
@@ -704,20 +1041,25 @@ mod tests {
     #[test]
     #[ignore]
     fn concurrent_submitters_race_the_idle_stack() {
-        let exec = Arc::new(start(TraceSink::disabled()));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let exec = Arc::clone(&exec);
-                scope.spawn(move || {
-                    for _ in 0..500 {
-                        exec.submit_request(1_000);
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
-                });
-            }
+        let exec = start(TraceSink::disabled());
+        let handles: Vec<JoinHandle<()>> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..500)
+                            .map(|_| {
+                                let handle = exec.spawn(|| spin_for(1_000));
+                                std::thread::sleep(Duration::from_micros(50));
+                                handle
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            submitters.into_iter().flat_map(|s| s.join().expect("submitter")).collect()
         });
-        exec.drain();
-        let report = Arc::into_inner(exec).expect("all submitters joined").shutdown();
+        join_within(&exec, handles, "concurrent submitters");
+        let report = exec.shutdown();
         assert_eq!(report.completed, 4 * 500);
     }
 
@@ -735,7 +1077,17 @@ mod tests {
             seed: 3,
         };
         let report = drive(&exec, spec);
-        exec.drain();
+        let deadline = Instant::now() + STRESS_DEADLINE;
+        while exec.completed() < report.submitted {
+            assert!(
+                Instant::now() < deadline,
+                "soak: {} of {} requests completed after {STRESS_DEADLINE:?}; queues: {:?}",
+                exec.completed(),
+                report.submitted,
+                exec.snapshots()
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
         let summary = exec.shutdown();
         assert_eq!(summary.completed, report.submitted);
         assert!(summary.latency_us.count() > 0);

@@ -11,11 +11,13 @@
 //!
 //! * **spawn/join** — closures become task words on real runqueues, get
 //!   placed by [`sched_core::ChoicePolicy::place_wakeup`], migrate through
-//!   batched CAS steals, and run wherever a worker claims them;
-//! * **parking/unparking** — idle workers park on per-worker tokens,
-//!   registered on a last-parked-first-woken idle stack, with a global
-//!   `searching` counter bounding wakeup storms (see [`parker`] and the
-//!   protocol walk-through in [`executor`]);
+//!   batched CAS steals, and run wherever a worker claims them; a panic
+//!   is contained and resumed in the joiner;
+//! * **parking/unparking** — idle workers park, untimed, on per-worker
+//!   tokens, registered on a last-parked-first-woken idle stack, with a
+//!   global `searching` counter bounding wakeup storms; the protocol is a
+//!   Dekker pair that loses no wakeup (see [`parker`] and the walk-through
+//!   in [`executor`]);
 //! * **tracing** — every steal decision goes through the same
 //!   [`sched_rq::steal::StealRecorder`] program point as the other
 //!   substrates, so `stats == fold(trace)` parity holds on real threads;

@@ -260,6 +260,14 @@ impl DequeRq {
         self.injector.len()
     }
 
+    /// Number of waiting tasks a thief could claim right now — ring plus
+    /// injector residents, a racy snapshot.  Unlike the counters behind
+    /// [`RqBackend::snapshot`], which an enqueue bumps *before* it pushes,
+    /// this never counts a task that is not yet claimable.
+    pub fn claimable_len(&self) -> usize {
+        self.stealer.len() + self.injected_len()
+    }
+
     /// The task currently occupying the core, if any.
     ///
     /// This is the owner-side read the executor's worker loop needs: a

@@ -29,7 +29,12 @@
 //! * the event-driven simulator's own degree of freedom — the order in
 //!   which same-timestamp events are processed — is discharged the same
 //!   way by [`ordering`]: seeded permutations of every same-time group
-//!   must reproduce the priority-ordered baseline's outcome.
+//!   must reproduce the priority-ordered baseline's outcome,
+//! * the `sched-exec` park protocol — register, fence, re-check, block
+//!   against enqueue, fence, pop, unpark — is explored interleaving by
+//!   interleaving by [`park`], which proves the executor's timer-free
+//!   protocol loses no wakeup in small scopes and reproduces the holes of
+//!   its predecessor.
 
 pub mod convergence;
 pub mod counterexample;
@@ -38,6 +43,7 @@ pub mod interleave;
 pub mod lemma;
 pub mod lemmas;
 pub mod ordering;
+pub mod park;
 pub mod report;
 pub mod scope;
 
@@ -50,5 +56,6 @@ pub use enumerate::{configurations, states};
 pub use interleave::{all_interleavings, interleaving_count};
 pub use lemma::{LemmaReport, LemmaStatus};
 pub use ordering::{check_ordering_independence, OrderingReport, OrderingViolation};
+pub use park::{check_park_protocol, ParkProtocol, ParkReport, ParkScope};
 pub use report::{verify_policy, VerificationReport};
 pub use scope::Scope;
