@@ -76,11 +76,35 @@
 //! turns with time alone, and a node-restricted one lets the searching
 //! skip trust a thief that cannot reach the task (the park model's
 //! counterexample).
+//!
+//! # The per-task path
+//!
+//! A task touches only its own slab slot, its own cell and its worker's own
+//! cache line; nothing on the way from claim to completion is a
+//! read-modify-write on a line another task or the submitter also writes.
+//!
+//! * **Job slab.**  A submitted job waits in a lazily grown slab
+//!   (`crate::slab`) until a worker claims its task word.  The task id
+//!   *is* the slot's address, `generation << 32 | index`: unique among
+//!   live tasks, fresh whenever a slot is reused (the generation bumps on
+//!   every claim), and below the runqueue word's 2^55 limit.  Workers hand
+//!   freed indices back in batches of 32, and before parking.
+//! * **One cell per spawn.**  A spawned closure, its result and the
+//!   joiner's `waiting` flag share one reference-counted `TaskCell`, the
+//!   only allocation of a `spawn`; whoever drops it last — usually the
+//!   joiner — frees it.
+//! * **Derived backlog.**  Each worker counts its completions on its own
+//!   cache line; the backlog is submissions minus completions, computed
+//!   only when someone asks (`drain`, and workers once shutdown has begun).
+//! * **Clock only when read.**  The shared logical clock stamps trace
+//!   events and is what a decaying load tracker folds at.  When neither is
+//!   in play nothing reads it, and workers leave it alone.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use sched_core::{CoreId, CoreSnapshot, Policy, StealOutcome, TaskId};
@@ -91,9 +115,7 @@ use sched_topology::MachineTopology;
 use sched_trace::{TraceEvent, TraceSink};
 
 use crate::parker::{IdleStack, Parker};
-
-/// Number of job-table shards; a power of two so the modulo is a mask.
-const JOB_SHARDS: usize = 16;
+use crate::slab::{JobSlab, FREE_BATCH};
 
 /// How the executor is built: machine shape, policy, and knobs.
 #[derive(Debug)]
@@ -150,10 +172,8 @@ impl ExecConfig {
 
 /// What one submitted task actually does when a worker runs it.
 enum Job {
-    /// Run a closure (the `spawn` API); it returns `true` if the user
-    /// function panicked (the panic itself is caught and handed to the
-    /// joiner).
-    Closure(Box<dyn FnOnce() -> bool + Send + 'static>),
+    /// A spawned closure (the `spawn` API), run through its task cell.
+    Spawned(Arc<dyn Run>),
     /// Spin for a sampled service time and record the end-to-end latency
     /// since submission (the open-loop benchmark API).
     Request {
@@ -164,36 +184,16 @@ enum Job {
     },
 }
 
-/// The id → job side table.  Runqueues carry task *words* (id, nice); the
-/// payload rides here, inserted before the enqueue so a worker that claims
-/// the id always finds it.
-struct JobTable {
-    shards: Vec<Mutex<HashMap<u64, Job>>>,
-}
-
-impl JobTable {
-    fn new() -> Self {
-        JobTable { shards: (0..JOB_SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    fn insert(&self, id: u64, job: Job) {
-        let mut shard = self.shards[id as usize % JOB_SHARDS].lock().expect("job shard poisoned");
-        shard.insert(id, job);
-    }
-
-    fn take(&self, id: u64) -> Option<Job> {
-        let mut shard = self.shards[id as usize % JOB_SHARDS].lock().expect("job shard poisoned");
-        shard.remove(&id)
-    }
-}
-
-/// One spawned job's result slot (see [`Executor::spawn`]).
-struct JoinCell<T> {
-    slot: Mutex<Slot<T>>,
+/// One spawned closure from `spawn` to `join`: the closure until a worker
+/// runs it, then its result until the joiner takes it.  The queued job and
+/// the [`JoinHandle`] share it, so it is a spawn's only allocation.
+struct TaskCell<F, T> {
+    state: Mutex<CellState<F, T>>,
     done: Condvar,
 }
 
-struct Slot<T> {
+struct CellState<F, T> {
+    closure: Option<F>,
     /// The closure's return value, or the payload of its panic.
     result: Option<std::thread::Result<T>>,
     /// A joiner is blocked on `done`: completion signals the condvar only
@@ -201,26 +201,72 @@ struct Slot<T> {
     waiting: bool,
 }
 
-impl<T> JoinCell<T> {
-    fn new() -> Self {
-        JoinCell { slot: Mutex::new(Slot { result: None, waiting: false }), done: Condvar::new() }
+impl<F, T> TaskCell<F, T> {
+    fn lock(&self) -> MutexGuard<'_, CellState<F, T>> {
+        self.state.lock().expect("task cell poisoned")
     }
+}
 
-    fn complete(&self, result: std::thread::Result<T>) {
-        let mut slot = self.slot.lock().expect("join cell poisoned");
-        slot.result = Some(result);
-        let waiting = slot.waiting;
-        drop(slot);
+/// A worker's view of a task cell.
+trait Run: Send + Sync {
+    /// Runs the closure and hands its result to the joiner; returns `true`
+    /// if the closure panicked (the panic itself goes to the joiner).
+    fn run(&self) -> bool;
+}
+
+/// A joiner's view of a task cell.
+trait Outcome<T>: Send + Sync {
+    /// Blocks until the closure has run and takes its result.
+    fn wait(&self) -> std::thread::Result<T>;
+    /// `true` once the closure has run.
+    fn is_finished(&self) -> bool;
+}
+
+impl<F, T> Run for TaskCell<F, T>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    fn run(&self) -> bool {
+        let f = self.lock().closure.take().expect("a task cell runs once");
+        let result = panic::catch_unwind(AssertUnwindSafe(f));
+        let panicked = result.is_err();
+        let mut state = self.lock();
+        state.result = Some(result);
+        let waiting = state.waiting;
+        drop(state);
         if waiting {
             self.done.notify_one();
         }
+        panicked
+    }
+}
+
+impl<F, T> Outcome<T> for TaskCell<F, T>
+where
+    F: Send,
+    T: Send,
+{
+    fn wait(&self) -> std::thread::Result<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(result) = state.result.take() {
+                return result;
+            }
+            state.waiting = true;
+            state = self.done.wait(state).expect("task cell poisoned");
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        self.lock().result.is_some()
     }
 }
 
 /// Waits for one spawned closure's result.  Its `Debug` form names the
 /// task word the closure rides on — its id in the decision trace.
 pub struct JoinHandle<T> {
-    cell: Arc<JoinCell<T>>,
+    cell: Arc<dyn Outcome<T>>,
     task: TaskId,
 }
 
@@ -228,35 +274,82 @@ impl<T> JoinHandle<T> {
     /// Blocks until the job has run and returns its result.  If the
     /// closure panicked, the panic resumes here, in the joiner.
     pub fn join(self) -> T {
-        let mut slot = self.cell.slot.lock().expect("join cell poisoned");
-        loop {
-            match slot.result.take() {
-                Some(Ok(out)) => return out,
-                Some(Err(payload)) => {
-                    drop(slot);
-                    panic::resume_unwind(payload)
-                }
-                None => {
-                    slot.waiting = true;
-                    slot = self.cell.done.wait(slot).expect("join cell poisoned");
-                }
-            }
+        match self.cell.wait() {
+            Ok(out) => out,
+            Err(payload) => panic::resume_unwind(payload),
         }
     }
 
     /// `true` once the job has completed or panicked (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.cell.slot.lock().expect("join cell poisoned").result.is_some()
+        self.cell.is_finished()
     }
 }
 
-impl<T> std::fmt::Debug for JoinHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<T> fmt::Debug for JoinHandle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JoinHandle")
             .field("task", &self.task)
             .field("finished", &self.is_finished())
             .finish()
     }
+}
+
+/// The tasks [`Executor::drain_for`] found unfinished at its deadline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StuckTasks {
+    /// Submitted tasks no worker has started: their jobs still wait in the
+    /// job slab.
+    pub queued: Vec<TaskId>,
+    /// Tasks seated as a core's running task, with that core.  A task a
+    /// wakeup seated on an idle core is named here even before its worker
+    /// starts it.
+    pub running: Vec<(CoreId, TaskId)>,
+}
+
+impl fmt::Display for StuckTasks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "tasks still pending: queued {:?}, running", self.queued)?;
+        for (core, task) in &self.running {
+            write!(f, " {task:?} on {core:?}")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for StuckTasks {}
+
+/// A value on a cache line of its own, so that writes to it do not evict
+/// its neighbours from other cores' caches (128 bytes: adjacent-line
+/// prefetchers pull lines in pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The submitters' counters, written on every submission and by nothing
+/// else.
+#[derive(Debug, Default)]
+struct Submissions {
+    /// Jobs submitted so far.
+    count: AtomicU64,
+    /// Round-robin previous-core hint for submissions from outside the
+    /// executor (a fresh request has no meaningful "previous core").
+    rr: AtomicUsize,
+}
+
+thread_local! {
+    /// Snapshot buffer for placing submissions, reused across every
+    /// submission from this thread, so a submission allocates nothing for
+    /// its placement.
+    static PLACEMENT_SNAPSHOTS: RefCell<Vec<CoreSnapshot>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Everything the worker threads share.
@@ -268,25 +361,24 @@ struct Shared {
     /// Logical machine clock in nanoseconds since `start`; workers and
     /// producers advance it with `fetch_max` so it never goes backwards.
     clock: Arc<AtomicU64>,
+    /// Something reads `clock` — the trace, or a decaying tracker — so it
+    /// must be advanced; otherwise advancing it is skipped.
+    clock_read: bool,
     start: Instant,
     stats: BalanceStats,
     trace: TraceSink,
-    jobs: JobTable,
+    jobs: JobSlab<Job>,
     parkers: Vec<Parker>,
     idle: IdleStack,
     /// Workers currently in their stealing phase; producers skip the
     /// undirected wakeup while this is nonzero (storm bound).
     searching: AtomicUsize,
-    /// Jobs submitted and not yet completed.
-    pending: AtomicU64,
     shutdown: AtomicBool,
-    next_task: AtomicU64,
-    /// Round-robin previous-core hint for submissions from outside the
-    /// executor (a fresh request has no meaningful "previous core").
-    rr: AtomicUsize,
+    submissions: CachePadded<Submissions>,
+    /// Jobs completed by each worker, each written only by its worker.
+    completed: Vec<CachePadded<AtomicU64>>,
     /// Per-worker latency histograms merge here as workers exit.
     latency: Mutex<Histogram>,
-    completed: AtomicU64,
     /// Jobs whose closure panicked (contained; see [`Executor::spawn`]).
     panicked: AtomicU64,
 }
@@ -331,6 +423,7 @@ impl Shared {
         let nr_workers = cores.len();
         Shared {
             cores,
+            clock_read: trace.is_enabled() || policy.tracker.is_decayed(),
             policy,
             batch,
             topo,
@@ -338,16 +431,14 @@ impl Shared {
             start: Instant::now(),
             stats: BalanceStats::new(),
             trace,
-            jobs: JobTable::new(),
+            jobs: JobSlab::new(),
             parkers: (0..nr_workers).map(|_| Parker::new()).collect(),
             idle: IdleStack::new(),
             searching: AtomicUsize::new(0),
-            pending: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            next_task: AtomicU64::new(0),
-            rr: AtomicUsize::new(0),
+            submissions: CachePadded::default(),
+            completed: (0..nr_workers).map(|_| CachePadded::default()).collect(),
             latency: Mutex::new(Histogram::new()),
-            completed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
         }
     }
@@ -357,20 +448,38 @@ impl Shared {
     }
 
     /// Advances the logical clock to wall time and publishes it to the
-    /// trace, so events across workers are stamped on one timeline.
-    fn advance_clock(&self) -> u64 {
-        let now = self.now_wall_ns();
-        self.clock.fetch_max(now, Ordering::AcqRel);
-        self.trace.set_now(now);
-        now
+    /// trace, so events across workers are stamped on one timeline — if
+    /// anything reads the clock at all.
+    fn advance_clock(&self) {
+        if self.clock_read {
+            let now = self.now_wall_ns();
+            self.clock.fetch_max(now, Ordering::AcqRel);
+            self.trace.set_now(now);
+        }
     }
 
     fn now_ns(&self) -> u64 {
         self.clock.load(Ordering::Acquire)
     }
 
+    /// Jobs completed so far, over all workers.
+    fn completed(&self) -> u64 {
+        self.completed.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+    }
+
+    /// Jobs submitted and not yet completed.  The completions are read
+    /// first, and a job is counted as submitted before any worker can
+    /// claim it, so every completion counted here has its submission
+    /// counted too: the result may overstate the backlog, but it never
+    /// reads zero while a submitted job is unfinished.
+    fn pending(&self) -> u64 {
+        let completed = self.completed();
+        let submitted = self.submissions.count.load(Ordering::SeqCst);
+        submitted.checked_sub(completed).expect("a job completed before it was submitted")
+    }
+
     fn should_exit(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) && self.pending.load(Ordering::SeqCst) == 0
+        self.shutdown.load(Ordering::SeqCst) && self.pending() == 0
     }
 
     /// Fills `scratch` with lock-less snapshots of every core, in id order
@@ -495,22 +604,28 @@ impl Shared {
         outcome
     }
 
-    /// Runs one claimed task to completion on worker `me`.
-    fn execute(&self, task: TaskId, me: usize, latency: &mut Histogram) {
-        match self.jobs.take(task.0) {
-            Some(Job::Closure(f)) => {
-                if f() {
-                    self.panicked.fetch_add(1, Ordering::Relaxed);
+    /// Runs one claimed task to completion on worker `me`, collecting its
+    /// freed slab index in `freed`.
+    fn execute(&self, task: TaskId, me: usize, latency: &mut Histogram, freed: &mut Vec<u32>) {
+        match self.jobs.take(task) {
+            Some(job) => {
+                self.jobs.retire(task, freed);
+                match job {
+                    Job::Spawned(cell) => {
+                        if cell.run() {
+                            self.panicked.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    Job::Request { service_ns, submitted_ns } => {
+                        spin_for(service_ns);
+                        let e2e_ns = self.now_wall_ns().saturating_sub(submitted_ns);
+                        latency.record(e2e_ns / 1_000);
+                    }
                 }
             }
-            Some(Job::Request { service_ns, submitted_ns }) => {
-                spin_for(service_ns);
-                let e2e_ns = self.now_wall_ns().saturating_sub(submitted_ns);
-                latency.record(e2e_ns / 1_000);
-            }
             // Jobs are inserted before their id is enqueued, so a claimed
-            // id always resolves; tolerate (and count) a miss anyway
-            // rather than poisoning the worker.
+            // id always resolves; tolerate a miss anyway rather than
+            // poisoning the worker.
             None => debug_assert!(false, "task {task:?} has no job"),
         }
         if self.trace.is_enabled() {
@@ -518,9 +633,14 @@ impl Shared {
         }
         let removed = self.cores[me].complete_current();
         debug_assert_eq!(removed.as_ref().map(|t| t.id), Some(task));
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 && self.shutdown.load(Ordering::SeqCst)
-        {
+        // Only this worker writes its counter, so a load and a store do
+        // what a read-modify-write would.  The store is SeqCst, ordered
+        // before the `shutdown` load: either this worker sees the flag, or
+        // `shutdown` set it after this completion and every worker that
+        // checks `should_exit` from then on counts it.
+        let done = &self.completed[me];
+        done.store(done.load(Ordering::Relaxed) + 1, Ordering::SeqCst);
+        if self.shutdown.load(Ordering::SeqCst) && self.pending() == 0 {
             // Last job out during shutdown: wake everyone so they observe
             // `should_exit` and leave.
             for worker in self.idle.drain() {
@@ -536,6 +656,7 @@ impl Shared {
         // Snapshot buffer shared by stealing rounds and pre-park
         // re-checks; allocated on first use, on the worker's own thread.
         let mut scratch = Vec::new();
+        let mut freed = Vec::with_capacity(FREE_BATCH);
         loop {
             self.advance_clock();
             rq.refresh();
@@ -543,13 +664,15 @@ impl Shared {
             // (a wakeup may have claimed the idle core directly), then
             // ring and injector via `pick_next`.
             while let Some(task) = rq.current_task().or_else(|| rq.pick_next()) {
-                self.execute(task, me, &mut latency);
+                self.execute(task, me, &mut latency, &mut freed);
                 self.advance_clock();
             }
             // Own sources empty: go stealing.
             if self.steal_round(CoreId(me), &mut scratch) {
                 continue;
             }
+            // An idle worker keeps no freed slots back.
+            self.jobs.release(&mut freed);
             if self.should_exit() {
                 break;
             }
@@ -677,14 +800,11 @@ impl Executor {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let cell = Arc::new(JoinCell::new());
-        let out = Arc::clone(&cell);
-        let task = self.submit_job(Job::Closure(Box::new(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(f));
-            let panicked = result.is_err();
-            out.complete(result);
-            panicked
-        })));
+        let cell = Arc::new(TaskCell {
+            state: Mutex::new(CellState { closure: Some(f), result: None, waiting: false }),
+            done: Condvar::new(),
+        });
+        let task = self.submit_job(Job::Spawned(Arc::clone(&cell) as Arc<dyn Run>));
         JoinHandle { cell, task }
     }
 
@@ -698,18 +818,22 @@ impl Executor {
 
     fn submit_job(&self, job: Job) -> TaskId {
         let shared = &self.shared;
-        let id = TaskId(shared.next_task.fetch_add(1, Ordering::Relaxed));
-        shared.pending.fetch_add(1, Ordering::AcqRel);
-        shared.jobs.insert(id.0, job);
+        // Counted before the job can be claimed: see `Shared::pending`.
+        shared.submissions.count.fetch_add(1, Ordering::SeqCst);
+        let id = shared.jobs.insert(job);
         // Place the wakeup: the policy reads the same lock-less snapshots
         // the stealing side does.  External submissions have no meaningful
         // previous core, so a rotating hint spreads the "prev is idle"
         // fast path instead of herding everything onto core 0.
-        let prev = CoreId(shared.rr.fetch_add(1, Ordering::Relaxed) % shared.cores.len());
-        let snapshots: Vec<CoreSnapshot> = shared.cores.iter().map(DequeRq::snapshot).collect();
-        let target = shared.policy.choice.place_wakeup(prev, &snapshots).unwrap_or(prev);
-        let now = shared.advance_clock();
+        let prev =
+            CoreId(shared.submissions.rr.fetch_add(1, Ordering::Relaxed) % shared.cores.len());
+        let target = PLACEMENT_SNAPSHOTS.with_borrow_mut(|snapshots| {
+            shared.snapshot_into(snapshots);
+            shared.policy.choice.place_wakeup(prev, snapshots).unwrap_or(prev)
+        });
+        shared.advance_clock();
         if shared.trace.is_enabled() {
+            let now = shared.now_ns();
             shared.trace.record(target, now, &TraceEvent::TaskWake { task: id });
             shared.trace.record(target, now, &TraceEvent::PlaceDecision { task: id, core: target });
         }
@@ -722,14 +846,43 @@ impl Executor {
     /// call this after the generator finishes so the histogram covers the
     /// whole schedule, including the backlog.
     pub fn drain(&self) {
-        while self.shared.pending.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
+        self.drain_for(Duration::MAX).expect("an unbounded drain has no deadline to miss");
+    }
+
+    /// Like [`Self::drain`], but gives up after `timeout` and names the
+    /// tasks still unfinished: those whose jobs wait in the job slab, and
+    /// those seated as a core's running task.
+    pub fn drain_for(&self, timeout: Duration) -> Result<(), StuckTasks> {
+        const POLL: Duration = Duration::from_micros(200);
+        let deadline = Instant::now().checked_add(timeout);
+        while self.shared.pending() > 0 {
+            let left = deadline.map_or(POLL, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                return Err(self.stuck_tasks());
+            }
+            std::thread::sleep(left.min(POLL));
         }
+        Ok(())
+    }
+
+    fn stuck_tasks(&self) -> StuckTasks {
+        let running: Vec<(CoreId, TaskId)> = self
+            .shared
+            .cores
+            .iter()
+            .enumerate()
+            .filter_map(|(core, rq)| rq.current_task().map(|task| (CoreId(core), task)))
+            .collect();
+        // A task seated on an idle core by its wakeup has not started yet,
+        // but it is named once, as running.
+        let mut queued = self.shared.jobs.waiting();
+        queued.retain(|task| running.iter().all(|&(_, seated)| seated != *task));
+        StuckTasks { queued, running }
     }
 
     /// Jobs completed so far.
     pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
+        self.shared.completed()
     }
 
     /// The run's balancing counters (live; also returned by value in the
@@ -760,19 +913,19 @@ impl Executor {
         stats.merge_from(&shared.stats);
         ExecReport {
             latency_us: shared.latency.lock().expect("latency histogram poisoned").clone(),
-            completed: shared.completed.load(Ordering::Relaxed),
+            completed: shared.completed(),
             panicked: shared.panicked.load(Ordering::Relaxed),
             stats,
         }
     }
 }
 
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Executor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Executor")
             .field("workers", &self.workers.len())
-            .field("pending", &self.shared.pending.load(Ordering::Relaxed))
-            .field("completed", &self.shared.completed.load(Ordering::Relaxed))
+            .field("pending", &self.shared.pending())
+            .field("completed", &self.shared.completed())
             .field("panicked", &self.shared.panicked.load(Ordering::Relaxed))
             .finish()
     }
@@ -785,7 +938,8 @@ mod tests {
     use sched_core::policy::{DeltaFilter, NodeRestrictedFilter, TopologyAwareChoice};
     use sched_core::LoadMetric;
     use sched_topology::TopologyBuilder;
-    use sched_trace::FoldedStats;
+    use sched_trace::{FoldedStats, SanityChecker, SanityKind};
+    use std::collections::HashSet;
 
     fn small_topo() -> Arc<MachineTopology> {
         Arc::new(TopologyBuilder::new().sockets(1).cores_per_socket(4).llcs_per_socket(1).build())
@@ -810,6 +964,7 @@ mod tests {
         let handles: Vec<JoinHandle<u64>> = (0..64u64).map(|i| exec.spawn(move || i * 2)).collect();
         let sum: u64 = handles.into_iter().map(JoinHandle::join).sum();
         assert_eq!(sum, (0..64u64).map(|i| i * 2).sum());
+        assert_eq!(exec.shared.now_ns(), 0, "untraced and undecayed: nothing advances the clock");
         let report = exec.shutdown();
         assert_eq!(report.completed, 64);
     }
@@ -872,6 +1027,121 @@ mod tests {
         assert_eq!(folded.no_candidates, report.stats.no_candidates());
         assert_eq!(folded.migrations, report.stats.migrations());
         assert_eq!(folded.level_migrations, report.stats.level_migration_counts());
+
+        // Slab slots are recycled, so the trace must still tell every task
+        // apart: no task lost or duplicated by the sanity checker (relaxed,
+        // as for every real-thread trace: record order may lag the true
+        // interleaving), and — independent of order — every task placed
+        // exactly once and completed exactly once.
+        let identity: Vec<_> = SanityChecker::check_trace(&trace, false, Some(&[0; 4]))
+            .into_iter()
+            .filter(|v| matches!(v.kind, SanityKind::TaskLost | SanityKind::TaskDuplicated))
+            .collect();
+        assert!(identity.is_empty(), "{identity:?}");
+        let mut placed = HashSet::new();
+        let mut done = HashSet::new();
+        for e in &trace.events {
+            match e.event {
+                TraceEvent::PlaceDecision { task, .. } => {
+                    assert!(placed.insert(task), "{task:?} placed twice")
+                }
+                TraceEvent::TaskDone { task } => assert!(done.insert(task), "{task:?} done twice"),
+                _ => {}
+            }
+        }
+        assert_eq!(placed, done);
+        assert_eq!(placed.len() as u64, report.completed);
+        let slots: HashSet<u64> = placed.iter().map(|t| t.0 & u64::from(u32::MAX)).collect();
+        assert!(slots.len() < placed.len(), "the run reused slab slots");
+    }
+
+    #[test]
+    fn starting_allocates_no_slab_segment() {
+        let exec = start(TraceSink::disabled());
+        assert_eq!(exec.shared.jobs.segments_allocated(), 0);
+        assert_eq!(exec.spawn(|| 1).join(), 1);
+        assert_eq!(exec.shared.jobs.segments_allocated(), 1, "the first spawn allocates one");
+        exec.shutdown();
+    }
+
+    /// Occupies every worker with a job blocked on `gate` and returns their
+    /// handles once all of them have started.
+    fn block_every_worker(exec: &Executor, gate: &Arc<Mutex<()>>) -> Vec<JoinHandle<()>> {
+        let (started, wait_started) = std::sync::mpsc::channel();
+        let blockers = (0..exec.nr_workers())
+            .map(|_| {
+                let (gate, started) = (Arc::clone(gate), started.clone());
+                exec.spawn(move || {
+                    started.send(()).expect("the test waits for every blocker");
+                    drop(gate.lock().expect("gate poisoned"));
+                })
+            })
+            .collect();
+        for _ in 0..exec.nr_workers() {
+            wait_started.recv_timeout(STRESS_DEADLINE).expect("every worker takes a blocker");
+        }
+        blockers
+    }
+
+    #[test]
+    fn a_backlog_beyond_the_first_segment_completes_with_distinct_ids() {
+        let exec = start(TraceSink::disabled());
+        let gate = Arc::new(Mutex::new(()));
+        let closed = gate.lock().expect("gate poisoned");
+        let blockers = block_every_worker(&exec, &gate);
+        let handles: Vec<JoinHandle<u64>> = (0..1_000u64).map(|i| exec.spawn(move || i)).collect();
+        assert!(exec.shared.jobs.segments_allocated() >= 3, "1 004 jobs outgrow 256 + 512 slots");
+        let ids: HashSet<TaskId> = handles.iter().map(|h| h.task).collect();
+        assert_eq!(ids.len(), handles.len(), "live tasks have distinct ids");
+        drop(closed);
+        let sum: u64 = join_within(&exec, handles, "backlog").into_iter().sum();
+        assert_eq!(sum, (0..1_000u64).sum());
+        join_within(&exec, blockers, "blockers");
+        assert_eq!(exec.shutdown().completed, 1_004);
+    }
+
+    #[test]
+    fn drain_for_names_a_stuck_task_then_succeeds_once_it_is_released() {
+        let exec = start(TraceSink::disabled());
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        let stuck = exec.spawn(move || wait_release.recv().expect("the test releases the job"));
+        let timeout = Duration::from_millis(50);
+        let began = Instant::now();
+        let err = exec.drain_for(timeout).expect_err("the blocked job keeps the executor busy");
+        assert!(began.elapsed() < timeout + Duration::from_secs(1), "drain_for kept its deadline");
+        let named = err.queued.iter().chain(err.running.iter().map(|(_, task)| task));
+        assert_eq!(named.copied().collect::<Vec<_>>(), vec![stuck.task], "{err}");
+        release.send(()).expect("the job is waiting");
+        assert_eq!(exec.drain_for(STRESS_DEADLINE), Ok(()));
+        stuck.join();
+        exec.shutdown();
+    }
+
+    /// `shutdown` right behind the last submissions: workers leave only
+    /// once the derived backlog reads zero, so shutdown neither returns
+    /// before every job ran nor waits forever for a wakeup.
+    #[test]
+    fn shutdown_racing_the_last_completion_neither_exits_early_nor_hangs() {
+        for round in 0..1_000u64 {
+            let exec = start(TraceSink::disabled());
+            let handles: Vec<JoinHandle<u64>> = (0..3)
+                .map(|i| {
+                    exec.spawn(move || {
+                        spin_for((round + i) % 4 * 500);
+                        i
+                    })
+                })
+                .collect();
+            let (report, wait_report) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = report.send(exec.shutdown().completed);
+            });
+            let completed = wait_report
+                .recv_timeout(STRESS_DEADLINE)
+                .unwrap_or_else(|_| panic!("round {round}: shutdown hung"));
+            assert_eq!(completed, 3, "round {round}: shutdown left jobs behind");
+            assert!(handles.iter().all(JoinHandle::is_finished), "round {round}");
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@
 pub mod executor;
 pub mod openloop;
 pub mod parker;
+mod slab;
 
-pub use executor::{ExecConfig, ExecReport, Executor, JoinHandle};
+pub use executor::{ExecConfig, ExecReport, Executor, JoinHandle, StuckTasks};
 pub use openloop::{drive, Arrival, ArrivalStream, OpenLoopReport, OpenLoopSpec, ServiceMix};
 pub use parker::{IdleStack, Parker};
